@@ -131,16 +131,21 @@ class BoxStore:
         picked = [
             (sid, slot) for sid, slot in self._slot_of.items() if predicate(sid)
         ]
-        out = []
+        if not picked:
+            return []
+        slots = [slot for _sid, slot in picked]
+        # One fancy-indexed copy per bound array, not two row copies per
+        # entry; each returned row is a view of that private copy.
+        lows = self._lows[slots]
+        highs = self._highs[slots]
         for sid, slot in picked:
             del self._slot_of[sid]
             self._release_slot(slot)
-            self._active[slot] = False
             self._subids[slot] = None
             self._free.append(slot)
-            out.append((sid, self._lows[slot].copy(), self._highs[slot].copy()))
+        self._active[slots] = False
         self._size -= len(picked)
-        return out
+        return [(sid, lows[i], highs[i]) for i, (sid, _slot) in enumerate(picked)]
 
     # ------------------------------------------------------------------
     def match_point(self, point: np.ndarray) -> List[SubID]:

@@ -1918,6 +1918,10 @@ class PubSubNodeMixin:
         fo = p.get("fo")
         tel = self.system.telemetry
         prof = tel.profiler if tel is not None and tel.profiling else None
+        my_addr = self.addr
+        is_responsible = self.is_responsible
+        route = self._cached_next_hop if self._rc_enabled else self.next_hop_addr
+        breaker = self.breaker
 
         worklist = deque(p["entries"])
         groups: Dict[int, List[tuple]] = {}
@@ -1929,12 +1933,12 @@ class PubSubNodeMixin:
                 # Sequencer-bound entry (causal mode): routed by network
                 # address, not by DHT id -- the sequencer is pinned.
                 seq_addr = meta["s"][1]
-                if seq_addr == self.addr:
+                if seq_addr == my_addr:
                     worklist.extend(self._seq_ingest(p, meta, msg))
                 else:
                     groups.setdefault(seq_addr, []).append(ent)
                 continue
-            if self.is_responsible(nid):
+            if is_responsible(nid):
                 if prof is not None:
                     t0 = perf_counter()
                 if meta is not None:
@@ -1949,22 +1953,17 @@ class PubSubNodeMixin:
             else:
                 if prof is not None:
                     t0 = perf_counter()
-                if self._rc_enabled:
-                    nh = self._cached_next_hop(nid)
-                else:
-                    nh = self.next_hop_addr(nid)
+                nh = route(nid)
                 if prof is not None:
                     prof.add("algo5.route", perf_counter() - t0)
-                if nh is None or nh == self.addr:
+                if nh is None or nh == my_addr:
                     # Unroutable (healing ring) or a degenerate self-hop
                     # -- a self-forward costs zero latency and no hops,
                     # i.e. an infinite loop at frozen simulated time.
                     # Drop the entry: durable custody redelivers it once
                     # the ring converges; best-effort never promised it.
                     continue
-                if self.breaker is not None and not self.breaker.allow(
-                    nh, self.sim.now
-                ):
+                if breaker is not None and not breaker.allow(nh, self.sim.now):
                     alt = self._route_around(nid, nh)
                     if alt is not None:
                         nh = alt

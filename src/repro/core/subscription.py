@@ -14,7 +14,7 @@ the paper prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,13 +51,13 @@ class Predicate:
         return cls(attr, low, high)
 
 
-@dataclass(frozen=True, order=True)
-class SubID:
+class SubID(NamedTuple):
     """Global subscription identifier: (subscriber nodeID, internal ID).
 
     The paper sizes this at 9 bytes on the wire (8B node id + 1B iid);
     rendezvous entries use ``iid = None`` ("the subid list is
-    initialized as {(key(cz), NULL)}").
+    initialized as {(key(cz), NULL)}").  A named tuple: it hashes and
+    orders as ``(nid, iid)`` and costs one small object per SubID.
     """
 
     nid: int

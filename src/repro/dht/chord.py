@@ -30,6 +30,7 @@ import numpy as np
 from repro.dht.base import OverlayNode
 from repro.dht.idspace import (
     ID_BITS,
+    ID_MASK,
     cw_distance,
     id_add,
     id_in_interval,
@@ -256,12 +257,17 @@ class ChordNode(OverlayNode):
     # Routing (OverlayNode interface)
     # ------------------------------------------------------------------
     def is_responsible(self, key: int) -> bool:
-        if self.predecessor is None:
+        pred = self._predecessor
+        if pred is None:
             # Bootstrapping/single node: own everything we are asked about.
-            return not self.successors or key == self.node_id
-        return id_in_interval(
-            key, self.predecessor[0], self.node_id, incl_right=True
-        )
+            return not self._successors or key == self.node_id
+        # ``id_in_interval(key, pred, self, incl_right=True)``, inlined:
+        # this runs once per SubID entry on every hop.
+        pred_id = pred[0]
+        if pred_id == self.node_id:
+            return True  # own predecessor: the arc is the whole ring
+        arc = (self.node_id - pred_id) & ID_MASK
+        return 0 < ((key - pred_id) & ID_MASK) <= arc
 
     def next_hop_addr(self, key: int) -> Optional[int]:
         if self.is_responsible(key):

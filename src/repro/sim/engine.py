@@ -1,9 +1,10 @@
 """Deterministic discrete-event scheduler.
 
-The simulator keeps a priority queue of ``(time, sequence, callback)``
-entries.  Ties on time are broken by insertion order, which makes every
-run fully deterministic for a fixed seed and fixed call ordering -- the
-property every experiment in this repository relies on.
+The simulator keeps a priority queue of ``[time, sequence, callback,
+args, sim]`` entries (see :class:`EventHandle`).  Ties on time are
+broken by insertion order, which makes every run fully deterministic
+for a fixed seed and fixed call ordering -- the property every
+experiment in this repository relies on.
 
 Time is a ``float`` in **milliseconds**, matching the paper's reporting
 units (latencies from the King dataset are millisecond RTTs).
@@ -12,37 +13,44 @@ units (latencies from the King dataset are millisecond RTTs).
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, Optional
 
 
-class EventHandle:
-    """Cancellation token returned by :meth:`Simulator.schedule`.
+class EventHandle(list):
+    """A scheduled callback: the heap entry *is* the cancellation token.
 
-    Cancelling does not remove the heap entry (that would be O(n)); the
-    entry is skipped when popped.  The owning simulator keeps a live
-    count (:attr:`Simulator.live`) in sync: cancelling before the event
-    fires decrements it exactly once.
+    The entry is the list ``[time, seq, fn, args, sim]``.  Heap order
+    compares ``(time, seq)`` only -- ``seq`` is unique, so ``fn`` is
+    never compared.  Cancelling does not remove the entry (that would
+    be O(n)); it clears ``fn``, leaving a tombstone that is skipped when
+    popped.  ``sim`` is set while the event is still due and cleared
+    when it fires or is cancelled, whichever comes first, so the owning
+    simulator's live count (:attr:`Simulator.live`) drops exactly once.
     """
 
-    __slots__ = ("time", "seq", "cancelled", "_done", "_sim")
+    __slots__ = ()
 
-    def __init__(
-        self, time: float, seq: int, sim: Optional["Simulator"] = None
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self._done = False
-        self._sim = sim
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if not self._done and self._sim is not None:
-            self._sim._live -= 1
-            self._done = True
+        self[2] = None
+        sim = self[4]
+        if sim is not None:
+            self[4] = None
+            sim._live -= 1
 
 
 class RepeatingHandle:
@@ -74,7 +82,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, EventHandle, Callable[..., Any], tuple]] = []
+        self._queue: list[EventHandle] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._processed: int = 0
@@ -123,9 +131,10 @@ class Simulator:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        handle = EventHandle(time, self._seq, self)
-        heapq.heappush(self._queue, (time, self._seq, handle, fn, args))
-        self._seq += 1
+        seq = self._seq
+        handle = EventHandle((time, seq, fn, args, self))
+        heapq.heappush(self._queue, handle)
+        self._seq = seq + 1
         self._live += 1
         return handle
 
@@ -167,14 +176,16 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event.  Returns ``False`` when idle."""
-        while self._queue:
-            time, _seq, handle, fn, args = heapq.heappop(self._queue)
-            if handle.cancelled:
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            fn = entry[2]
+            if fn is None:
                 continue
-            handle._done = True
+            entry[4] = None
             self._live -= 1
-            self._now = time
-            fn(*args)
+            self._now = entry[0]
+            fn(*entry[3])
             self._processed += 1
             return True
         return False
@@ -192,20 +203,24 @@ class Simulator:
 
         Returns the number of callbacks executed by this call.
         """
+        queue = self._queue
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
         executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
+        while queue and executed < limit:
+            entry = queue[0]
+            time = entry[0]
+            if time > horizon:
                 break
-            time, _seq, handle, fn, args = self._queue[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._queue)
-            if handle.cancelled:
+            pop(queue)
+            fn = entry[2]
+            if fn is None:
                 continue
-            handle._done = True
+            entry[4] = None
             self._live -= 1
             self._now = time
-            fn(*args)
+            fn(*entry[3])
             self._processed += 1
             executed += 1
         if until is not None and until > self._now:

@@ -19,7 +19,8 @@ Delivery has two modes per node:
 
 from __future__ import annotations
 
-from collections import deque
+import dataclasses
+from collections import defaultdict, deque
 from typing import Dict, Optional
 
 from repro.sim.engine import RepeatingHandle, Simulator
@@ -162,6 +163,10 @@ class Network:
         self.stats = stats or NetworkStats(topology.size)
         self.local_delivery_delay_ms = local_delivery_delay_ms
         self._nodes: Dict[int, SimNode] = {}
+        #: src -> dst -> nominal one-way latency, filled on first use.
+        #: Overlay traffic keeps reusing a small set of links, so a dict
+        #: hit replaces a topology computation on nearly every send.
+        self._link_latency: Dict[int, Dict[int, float]] = defaultdict(dict)
         # -- failure injection ------------------------------------------
         self._loss_rate = 0.0
         self._loss_rng = None
@@ -373,20 +378,31 @@ class Network:
         ``local_delivery_delay_ms`` and are *not* charged to the
         network byte counters -- the paper measures network bandwidth.
         """
-        if msg.dst not in self._nodes:
+        src = msg.src
+        dst = msg.dst
+        if dst not in self._nodes:
             self.stats.record_drop("dead_dst")
             return
-        if msg.src == msg.dst:
+        if src == dst:
             self.sim.schedule(self.local_delivery_delay_ms, self._deliver, msg, 0.0)
             return
-        cause = self._injected_failure(msg)
-        if cause is not None:
-            # The sender did transmit: bytes are still charged.
-            self.stats.record_send(msg.src, msg.dst, msg.kind, msg.size_bytes)
-            self.stats.record_drop(cause)
-            return
-        self.stats.record_send(msg.src, msg.dst, msg.kind, msg.size_bytes)
-        latency = self.topology.latency_ms(msg.src, msg.dst) * self._latency_factor
+        # The sender transmits either way: bytes are charged even when
+        # an injected fault then drops the packet.
+        self.stats.record_send(src, dst, msg.kind, msg.size_bytes)
+        if (
+            self._partition is not None
+            or self._asym_cuts
+            or self._loss_rng is not None
+        ):
+            cause = self._injected_failure(msg)
+            if cause is not None:
+                self.stats.record_drop(cause)
+                return
+        try:
+            latency = self._link_latency[src][dst]
+        except KeyError:
+            latency = self._link_latency[src][dst] = self.topology.latency_ms(src, dst)
+        latency *= self._latency_factor
         if self._reorder_rng is not None:
             # Adversarial per-packet jitter: later sends can arrive first.
             latency += float(self._reorder_rng.uniform(0.0, self._reorder_window))
@@ -398,8 +414,6 @@ class Network:
             # mutation in _deliver from compounding across the two
             # deliveries; the payload is shared, exactly like a
             # retransmitted packet, so dedup layers see the same bits.
-            import dataclasses
-
             ghost = dataclasses.replace(msg)
             ghost_latency = latency + float(self._dup_rng.uniform(0.0, latency))
             self.stats.record_duplicate()

@@ -90,10 +90,13 @@ class NetworkStats:
         self, num_nodes: int, registry: Optional[MetricsRegistry] = None
     ) -> None:
         self.num_nodes = num_nodes
-        self.in_bytes = np.zeros(num_nodes, dtype=np.float64)
-        self.out_bytes = np.zeros(num_nodes, dtype=np.float64)
-        self.in_msgs = np.zeros(num_nodes, dtype=np.int64)
-        self.out_msgs = np.zeros(num_nodes, dtype=np.int64)
+        # Per-node counters are plain lists: one send bumps four of them,
+        # and a list item update costs a fraction of a NumPy scalar one.
+        # The ``in_/out_bytes/msgs`` properties hand out arrays.
+        self._in_bytes = [0.0] * num_nodes
+        self._out_bytes = [0.0] * num_nodes
+        self._in_msgs = [0] * num_nodes
+        self._out_msgs = [0] * num_nodes
         self.bytes_by_kind: Dict[str, float] = {}
         self.msgs_by_kind: Dict[str, int] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -147,6 +150,27 @@ class NetworkStats:
         # backlog seen anywhere over the whole run (finite-service model).
         self.registry.gauge("queue.depth")
         self._g_queue_peak = self.registry.gauge("queue.depth.peak")
+
+    # -- per-node counters, as arrays ----------------------------------
+    @property
+    def in_bytes(self) -> np.ndarray:
+        """Bytes received per node (a fresh array on every read)."""
+        return np.array(self._in_bytes, dtype=np.float64)
+
+    @property
+    def out_bytes(self) -> np.ndarray:
+        """Bytes sent per node (a fresh array on every read)."""
+        return np.array(self._out_bytes, dtype=np.float64)
+
+    @property
+    def in_msgs(self) -> np.ndarray:
+        """Messages received per node (a fresh array on every read)."""
+        return np.array(self._in_msgs, dtype=np.int64)
+
+    @property
+    def out_msgs(self) -> np.ndarray:
+        """Messages sent per node (a fresh array on every read)."""
+        return np.array(self._out_msgs, dtype=np.int64)
 
     # -- registry-backed counter attributes -----------------------------
     @property
@@ -279,12 +303,14 @@ class NetworkStats:
         return int(self._g_queue_peak.value)
 
     def record_send(self, src: int, dst: int, kind: str, size_bytes: int) -> None:
-        self.out_bytes[src] += size_bytes
-        self.out_msgs[src] += 1
-        self.in_bytes[dst] += size_bytes
-        self.in_msgs[dst] += 1
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0.0) + size_bytes
-        self.msgs_by_kind[kind] = self.msgs_by_kind.get(kind, 0) + 1
+        self._out_bytes[src] += size_bytes
+        self._out_msgs[src] += 1
+        self._in_bytes[dst] += size_bytes
+        self._in_msgs[dst] += 1
+        by_kind = self.bytes_by_kind
+        by_kind[kind] = by_kind.get(kind, 0.0) + size_bytes
+        msgs_by_kind = self.msgs_by_kind
+        msgs_by_kind[kind] = msgs_by_kind.get(kind, 0) + 1
 
     @property
     def total_bytes(self) -> float:
@@ -296,10 +322,11 @@ class NetworkStats:
 
     def reset(self) -> None:
         """Zero every counter (used between warm-up and measurement)."""
-        self.in_bytes[:] = 0.0
-        self.out_bytes[:] = 0.0
-        self.in_msgs[:] = 0
-        self.out_msgs[:] = 0
+        n = self.num_nodes
+        self._in_bytes = [0.0] * n
+        self._out_bytes = [0.0] * n
+        self._in_msgs = [0] * n
+        self._out_msgs = [0] * n
         self.bytes_by_kind.clear()
         self.msgs_by_kind.clear()
         self.registry.reset("transport.")

@@ -252,9 +252,11 @@ def measure_system(
     Components (see :data:`NODE_COMPONENTS` for the per-node ones):
     ``subscriptions``, ``zones``, ``overlay``, ``transport``,
     ``route_cache``, ``durable_log`` (scaled from the node sample),
-    plus ``sim_queue`` (the scheduler's live heap, messages included),
-    ``ingress_queues`` (finite-service backlogs) and ``network_stats``
-    (the fabric's per-node byte/message arrays), measured in full.
+    plus ``sim_queue`` (the scheduler's heap: every entry, tombstones
+    included, with the messages its callbacks carry), ``ingress_queues``
+    (finite-service backlogs), ``network_stats`` (the fabric's per-node
+    byte/message counters and per-kind tallies) and ``link_latency``
+    (the fabric's memo of per-link latencies), measured in full.
     """
     walk = _Walk(max_objects)
     # Never wander into the wiring: every node holds system/network/sim
@@ -280,6 +282,9 @@ def measure_system(
         components[name] = int(measured * scale)
 
     # Global structures: measured in full, never scaled.
+    # Heap entries are list subclasses ([time, seq, fn, args, sim]):
+    # the walk enters them like lists and reaches the queued messages
+    # through ``args``; ``sim`` is excluded above.
     components["sim_queue"] = deep_sizeof(system.sim._queue, walk)
     components["ingress_queues"] = sum(
         deep_sizeof(node._ingress_hi, walk) + deep_sizeof(node._ingress_lo, walk)
@@ -287,14 +292,19 @@ def measure_system(
         if hasattr(node, "_ingress_hi")
     )
     stats = system.network.stats
-    components["network_stats"] = int(
-        stats.in_bytes.nbytes
-        + stats.out_bytes.nbytes
-        + stats.in_msgs.nbytes
-        + stats.out_msgs.nbytes
-        + deep_sizeof(stats.bytes_by_kind, walk)
-        + deep_sizeof(stats.msgs_by_kind, walk)
+    # The live counter lists, not the arrays the properties rebuild.
+    components["network_stats"] = sum(
+        deep_sizeof(table, walk)
+        for table in (
+            stats._in_bytes,
+            stats._out_bytes,
+            stats._in_msgs,
+            stats._out_msgs,
+            stats.bytes_by_kind,
+            stats.msgs_by_kind,
+        )
     )
+    components["link_latency"] = deep_sizeof(system.network._link_latency, walk)
 
     total = int(sum(components.values()))
     n_alive = len(alive)

@@ -129,6 +129,32 @@ class TestSubID:
         assert SubID(1, 2) == SubID(1, 2)
         assert len({SubID(1, 2), SubID(1, 2), SubID(1, 3)}) == 2
 
+    def test_hash_and_order_are_the_tuples(self):
+        # Set and dict iteration order -- and with them the delivery
+        # digests -- depend on the hash staying hash((nid, iid)).
+        for sid in (SubID(7, 3), SubID(2**63 + 5, 0), SubID(9, None)):
+            assert hash(sid) == hash((sid.nid, sid.iid))
+        subids = [SubID(3, 1), SubID(1, 9), SubID(3, 0), SubID(2, 4)]
+        assert sorted(subids) == [
+            SubID(1, 9), SubID(2, 4), SubID(3, 0), SubID(3, 1)
+        ]
+        assert SubID(1, 2) < SubID(1, 3) < SubID(2, 0)
+
+    def test_fields_repr_and_immutability(self):
+        sid = SubID(5, 2)
+        assert (sid.nid, sid.iid) == (5, 2)
+        assert repr(sid) == "SubID(nid=5, iid=2)"
+        with pytest.raises(AttributeError):
+            sid.nid = 6
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        for sid in (SubID(5, 2), SubID(11, None)):
+            back = pickle.loads(pickle.dumps(sid))
+            assert back == sid and type(back) is SubID
+            assert back.is_rendezvous is sid.is_rendezvous
+
 
 class TestNormalizePredicates:
     def test_single_subscription_passthrough(self, scheme):

@@ -131,6 +131,21 @@ class TestBasics:
         s.put(SubID(99, 1), *box([50], [51]))
         assert s.match_point(np.array([50.5]))
 
+    def test_pop_matching_bounds_outlive_slot_reuse(self):
+        s = BoxStore(2)
+        for i in range(6):
+            s.put(SubID(i, 1), *box([i, -i], [i + 1, 0]))
+        popped = s.pop_matching(lambda sid: sid.nid % 2 == 0)
+        assert s.pop_matching(lambda sid: sid.nid > 100) == []
+        # Refill the freed slots: the popped bounds must not move.
+        for i in range(3):
+            s.put(SubID(50 + i, 1), *box([70, 70], [80, 80]))
+        assert [(sid.nid, list(lo), list(hi)) for sid, lo, hi in popped] == [
+            (i, [float(i), float(-i)], [float(i + 1), 0.0]) for i in (0, 2, 4)
+        ]
+        assert not s.match_point(np.array([0.5, -0.5]))
+        assert len(s) == 6
+
     def test_index_size_equals_len_for_plain_store(self):
         s = BoxStore(1)
         s.put(SubID(1, 1), *box([0], [1]))

@@ -344,6 +344,38 @@ class TestMapTasks:
             map_tasks(_explode, [1], jobs=4)
 
 
+def _subids_of(nid):
+    from repro.core.subscription import SubID
+
+    return [SubID(nid, iid) for iid in range(3)] + [SubID(nid, None)]
+
+
+class TestSubIDAcrossWorkers:
+    """SubIDs are named tuples; they must survive the worker pickling
+    boundary unchanged, and a ``--jobs 2`` sweep must reproduce the
+    serial ``result_digest``."""
+
+    def test_subids_pickle_through_worker_processes(self):
+        from repro.core.subscription import SubID
+
+        got = map_tasks(_subids_of, [1, 2, 3], jobs=2)
+        assert got == [_subids_of(n) for n in (1, 2, 3)]
+        assert all(type(s) is SubID for batch in got for s in batch)
+        assert [s.is_rendezvous for s in got[0]] == [False, False, False, True]
+
+    def test_jobs2_sweep_digest_matches_serial(self, tmp_path, monkeypatch):
+        configs = figure2_configs(60, 40, subs_per_node=5)[:2]
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "par"))
+        parallel = run_sweep(configs, jobs=2)
+        common.clear_cache()
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "ser"))
+        serial = run_sweep(configs, jobs=1)
+        assert [r.source for r in parallel.reports] == ["run", "run"]
+        assert [r.digest for r in parallel.reports] == [
+            r.digest for r in serial.reports
+        ]
+
+
 # ----------------------------------------------------------------------
 # Jobs resolution
 # ----------------------------------------------------------------------

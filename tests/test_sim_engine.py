@@ -197,3 +197,104 @@ def test_live_tracks_nested_scheduling():
     assert sim.live == 1  # the nested event replaced the fired one
     sim.run()
     assert sim.live == 0
+
+
+# ---------------------------------------------------------------------------
+# The heap entry is the handle: tombstone cancellation
+# ---------------------------------------------------------------------------
+def test_cancel_before_fire_decrements_live_once():
+    sim = Simulator()
+    h = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    assert sim.live == 2
+    h.cancel()
+    assert sim.live == 1
+    h.cancel()
+    assert sim.live == 1
+    assert sim.run() == 1
+    assert sim.live == 0
+
+
+def test_double_cancel_after_fire_leaves_live_alone():
+    sim = Simulator()
+    fired = []
+    h = sim.schedule(1.0, fired.append, "x")
+    sim.schedule(5.0, lambda: None)
+    sim.run(until=2.0)
+    assert fired == ["x"]
+    assert sim.live == 1
+    h.cancel()
+    h.cancel()
+    assert sim.live == 1
+    assert sim.run() == 1
+    assert sim.live == 0
+
+
+def test_handle_reads_time_seq_and_cancelled():
+    sim = Simulator()
+    sim.schedule(0.5, lambda: None)
+    sim.run()
+    a = sim.schedule(2.0, lambda: None)
+    b = sim.schedule_at(3.25, lambda: None)
+    assert (a.time, a.seq) == (2.5, 1)
+    assert (b.time, b.seq) == (3.25, 2)
+    assert not a.cancelled and not b.cancelled
+    b.cancel()
+    assert b.cancelled and not a.cancelled
+    sim.run()
+    # Firing does not mark a handle cancelled; a late cancel still does.
+    assert not a.cancelled
+    a.cancel()
+    assert a.cancelled
+    assert (a.time, a.seq) == (2.5, 1)
+
+
+def test_same_time_ties_fire_in_insertion_order_around_tombstones():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(4.0, fired.append, i) for i in range(8)]
+    for i in (1, 4, 7):
+        handles[i].cancel()
+    sim.run()
+    assert fired == [0, 2, 3, 5, 6]
+
+
+def test_step_skips_tombstones():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, "first")
+    sim.schedule(2.0, fired.append, "second")
+    first.cancel()
+    assert sim.step() is True
+    assert fired == ["second"]
+    assert sim.now == 2.0
+    assert sim.processed == 1
+    only = sim.schedule(1.0, fired.append, "never")
+    only.cancel()
+    assert sim.step() is False
+    assert sim.pending == 0 and sim.live == 0
+
+
+def test_run_until_and_max_events_skip_tombstones():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(float(i + 1), fired.append, i) for i in range(6)]
+    handles[0].cancel()
+    handles[2].cancel()
+    # Tombstones neither fire nor count against max_events.
+    assert sim.run(max_events=2) == 2
+    assert fired == [1, 3]
+    handles[4].cancel()
+    assert sim.run(until=5.5) == 0
+    assert sim.now == 5.5
+    assert sim.run(until=10.0) == 1
+    assert fired == [1, 3, 5]
+    assert sim.live == 0 and sim.pending == 0
+
+
+def test_heap_entry_is_the_handle():
+    """One object per scheduled event: the returned handle is the very
+    entry the heap holds."""
+    sim = Simulator()
+    h = sim.schedule(1.0, print, "x")
+    assert sim._queue == [h] and sim._queue[0] is h

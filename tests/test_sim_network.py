@@ -200,6 +200,27 @@ def test_duplicate_rate_one_delivers_twice():
     assert sum(1 for _t, m in nodes[1].received if m.kind == "d2") == 1
 
 
+def test_duplicate_ghost_is_an_independent_slotted_copy():
+    """``dataclasses.replace`` on the slotted Message yields a ghost whose
+    per-path counters move independently while the payload is shared."""
+    sim, net, nodes = make_net()
+    net.set_duplicate(1.0, seed=5)
+    payload = {"bits": [1, 2, 3]}
+    sent = Message(src=0, dst=1, kind="d", payload=payload, size_bytes=10, hops=4)
+    net.send(sent)
+    sim.run()
+    (t_a, a), (t_b, b) = nodes[1].received
+    assert not hasattr(sent, "__dict__")
+    assert a is sent and b is not sent
+    assert a.payload is b.payload is payload
+    assert a.hops == b.hops == 5
+    assert a.path_latency == 50.0
+    assert b.path_latency == t_b  # the ghost's own, later arrival
+    assert t_b > t_a
+    b.hops += 10
+    assert a.hops == 5
+
+
 def test_reorder_adds_adversarial_delay():
     sim, net, nodes = make_net(rtt=100.0)
     with pytest.raises(ValueError):

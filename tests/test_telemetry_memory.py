@@ -59,6 +59,17 @@ def make_system(num_nodes=40, subs=60, seed=3):
     return system
 
 
+def loaded_system(num_nodes=40, subs=60):
+    """An installed system that has carried some event traffic."""
+    from repro.core import Event
+
+    system = make_system(num_nodes=num_nodes, subs=subs)
+    for i, x in enumerate((500.0, 2_500.0, 5_000.0, 7_500.0, 9_000.0)):
+        system.publish(i, Event(system.schemes["s"], {"x": x, "y": 10_000.0 - x}))
+    system.run_until_idle()
+    return system
+
+
 # ---------------------------------------------------------------------------
 # deep_sizeof
 # ---------------------------------------------------------------------------
@@ -132,11 +143,71 @@ class TestMeasureSystem:
         report = measure_system(system)
         for name in NODE_COMPONENTS:
             assert name in report.components
-        for name in ("sim_queue", "ingress_queues", "network_stats"):
+        for name in ("sim_queue", "ingress_queues", "network_stats", "link_latency"):
             assert name in report.components
         assert report.total_bytes == sum(report.components.values())
         assert report.bytes_per_node > 0
         assert not report.truncated
+
+    def test_network_stats_walks_the_live_counter_lists(self):
+        import sys
+
+        system = make_system(num_nodes=200, subs=40)
+        stats = system.network.stats
+        counters = (
+            stats._in_bytes, stats._out_bytes, stats._in_msgs, stats._out_msgs
+        )
+        # Heavy traffic leaves one distinct number object per node in
+        # every counter, referenced by that list alone.
+        for table in counters:
+            for i in range(len(table)):
+                table[i] += 1_000_003 + i
+        report = measure_system(system)
+        # The walk must charge the list shells *and* every number in
+        # them; ``nbytes`` of the arrays the ``in_/out_*`` properties
+        # rebuild on read (8 B per node) would bill a fraction of that.
+        floor = sum(
+            sys.getsizeof(table) + sum(sys.getsizeof(x) for x in table)
+            for table in counters
+        )
+        rebuilt = sum(
+            arr.nbytes
+            for arr in (
+                stats.in_bytes, stats.out_bytes, stats.in_msgs, stats.out_msgs
+            )
+        )
+        assert floor > 4 * rebuilt
+        assert report.components["network_stats"] >= floor
+
+    def test_sim_queue_walks_list_entries_and_their_messages(self):
+        import sys
+
+        from repro.sim.messages import Message
+
+        system = make_system(num_nodes=20, subs=20)
+        system.run_until_idle()
+        base = measure_system(system).components["sim_queue"]
+        payload = [i + 0.5 for i in range(2_000)]
+        msg = Message(src=0, dst=1, kind="probe", payload=payload, size_bytes=1)
+        live = system.sim.schedule(10.0, system.network._deliver, msg, 0.0)
+        tomb = system.sim.schedule(20.0, system.network._deliver, msg, 0.0)
+        tomb.cancel()
+        assert all(isinstance(entry, list) for entry in system.sim._queue)
+        grown = measure_system(system).components["sim_queue"] - base
+        # Both entries' shells, plus the message their args reach.
+        floor = sys.getsizeof(live) + sys.getsizeof(tomb) + deep_sizeof(payload)
+        assert grown >= floor
+        # ... and nothing beyond it: the entries' back-reference to the
+        # simulator is never entered.
+        assert grown < floor + 5_000
+
+    def test_link_latency_memo_is_billed(self):
+        system = loaded_system(num_nodes=20, subs=20)
+        assert system.network._link_latency
+        report = measure_system(system)
+        assert report.components["link_latency"] >= 24 * sum(
+            len(row) for row in system.network._link_latency.values()
+        )
 
     def test_subscription_tables_dominate_an_installed_system(self):
         system = make_system(subs=200)
